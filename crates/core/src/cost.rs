@@ -10,7 +10,18 @@
 //!    projected onto those tables before the what-if call;
 //! 2. **Memoization** — the projected configuration is fingerprinted and
 //!    the (statement, fingerprint) → cost mapping cached, so greedy steps
-//!    that do not touch a statement's tables are free.
+//!    that do not touch a statement's tables cost a lookup, not a
+//!    what-if call.
+//!
+//! Enumeration goes one step further with **delta evaluation**
+//! ([`crate::enumeration::SetPricer`]): Greedy's evaluated set is a
+//! previously priced prefix `P` plus new structures `A`, and a statement
+//! that no structure of `A` touches ([`CostEvaluator::is_relevant`])
+//! takes its cost from `P`'s per-statement vector instead of a lookup.
+//! The result is exact, bit for bit: alignment and feasibility work per
+//! table, so `P` and `P ∪ A` project identically onto such a statement
+//! and its vector entry holds the cost of the very fingerprint a lookup
+//! would hit. Only the cache-hit count falls.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -219,8 +230,11 @@ impl<'a> CostEvaluator<'a> {
         }
     }
 
-    /// Whether `s` can affect item `i`'s plan.
-    fn is_relevant(&self, i: usize, s: &PhysicalStructure) -> bool {
+    /// Whether `s` can affect item `i`'s plan: it sits on (or, for a
+    /// view, reads) one of the tables the statement references. This is
+    /// the rule the cache projects by, and the one enumeration's delta
+    /// evaluation relies on (see [`crate::enumeration::SetPricer`]).
+    pub fn is_relevant(&self, i: usize, s: &PhysicalStructure) -> bool {
         let tables = self.item_tables.get(i).expect("item index is in range for this evaluator");
         let db = &self.items.get(i).expect("item index is in range for this evaluator").database;
         match s {

@@ -9,16 +9,24 @@
 //! the paper's lazy technique. [`crate::options::AlignmentMode::Eager`]
 //! instead cross-products the pool with every candidate partitioning up
 //! front (the unscalable baseline kept for the ablation).
+//!
+//! Each set Greedy evaluates is priced by delta evaluation
+//! ([`SetPricer`]): only the statements the newly added structures can
+//! touch are looked up again; the rest reuse the costs of the set's
+//! already-priced prefix, bit for bit.
 
 use crate::candidates::Candidate;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
 use crate::greedy::{greedy_mk_observed, GreedySnapshot};
+use crate::invariants;
 use crate::obs::{SessionObserver, NOOP};
 use crate::options::{AlignmentMode, TuningOptions};
 use dta_physical::{Configuration, PhysicalStructure, RangePartitioning, SizingInfo};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The outcome of enumeration.
 #[derive(Debug, Clone)]
@@ -173,70 +181,138 @@ pub fn eager_alignment_expansion(pool: &[PhysicalStructure]) -> Vec<PhysicalStru
     out
 }
 
-/// Run enumeration.
-///
-/// Greedy evaluations fan out over `options.parallel_workers` threads
-/// through the shared evaluator; results are identical at any worker
-/// count (see [`crate::greedy`]). Each evaluation charges one unit of
-/// `control`'s budget; on exhaustion the run returns best-so-far plus an
-/// [`EnumerationResume`] cursor, and a later call passing that cursor
-/// (with the same pool and a warmed cache) continues to the
-/// byte-identical uninterrupted answer.
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate(
-    eval: &CostEvaluator<'_>,
-    base: &Configuration,
-    pool: &[Candidate],
-    sizing: &dyn SizingInfo,
-    options: &TuningOptions,
-    control: &SessionControl,
-    resume: Option<EnumerationResume>,
-) -> EnumerationRun {
-    enumerate_observed(eval, base, pool, sizing, options, control, resume, &NOOP)
-}
-
-/// [`enumerate`] with an attached [`SessionObserver`]: the inner
-/// Greedy(m, k) run reports its two phases as spans. Instrumentation
-/// only — the search and its outcome are byte-identical to [`enumerate`].
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_observed(
-    eval: &CostEvaluator<'_>,
-    base: &Configuration,
-    pool: &[Candidate],
-    sizing: &dyn SizingInfo,
-    options: &TuningOptions,
-    control: &SessionControl,
-    resume: Option<EnumerationResume>,
-    obs: &dyn SessionObserver,
-) -> EnumerationRun {
-    // order candidates by observed benefit (helps greedy find good seeds
-    // early when the time budget cuts the search short)
+/// The structures enumeration runs Greedy(m, k) over, in search order:
+/// candidates by descending observed benefit (helps Greedy find good
+/// seeds early when a budget cuts the search short), expanded with every
+/// partitioned variant under [`AlignmentMode::Eager`].
+pub fn pool_structures(pool: &[Candidate], options: &TuningOptions) -> Vec<PhysicalStructure> {
     let mut ordered: Vec<&Candidate> = pool.iter().collect();
     ordered.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
-    let mut structures: Vec<PhysicalStructure> =
-        ordered.iter().map(|c| c.structure.clone()).collect();
-
+    let structures: Vec<PhysicalStructure> = ordered.iter().map(|c| c.structure.clone()).collect();
     if options.alignment == AlignmentMode::Eager {
-        structures = eager_alignment_expansion(&structures);
+        eager_alignment_expansion(&structures)
+    } else {
+        structures
+    }
+}
+
+/// The cost vector of one prefix `P`: entry `q` is statement `q`'s cost
+/// under `assemble(P)`, filled at most once, by an ordinary evaluator
+/// lookup, when an evaluation first needs it (`None` records a failed
+/// lookup).
+type PrefixCosts = Box<[OnceLock<Option<f64>>]>;
+
+/// Prices the sets Greedy(m, k) evaluates by *delta evaluation*.
+///
+/// Greedy hands over `S = P ∪ A`: `P` is a prefix of `S` with a cost
+/// vector, and `A` the structures added to it. A Phase-1 singleton is
+/// its own prefix (`A = []`; its evaluation fills the vector), a larger
+/// Phase-1 subset `{a, b, …}` has `P = [a]`, and a Phase-2 extension has
+/// `P` = the incumbent and `A` = the one new structure. A structure can
+/// only change the cost of statements on its own tables (the evaluator's
+/// [`CostEvaluator::is_relevant`] rule, precomputed as a
+/// structure→statement incidence bitset), so
+///
+/// ```text
+/// cost(S) = Σ_q weight_q × ( lookup(q, assemble(S))   if A touches q
+///                            costs_P[q]                otherwise )
+/// ```
+///
+/// summed in workload order, where `costs_P[q]` is `lookup(q,
+/// assemble(P))`, made once, by the first evaluation that needs it. The
+/// sum is bit-identical to `workload_cost(assemble(S))`: alignment and
+/// feasibility work per table, so `assemble(S)` and `assemble(P)`
+/// project identically onto a statement `A` cannot touch, and the two
+/// lookups hit the same cache fingerprint. Every entry is thus a lookup
+/// the full evaluation of `S` makes too, so every fingerprint priced,
+/// what-if call and evaluation is unchanged; only the number of lookups
+/// (cache hits) falls. If `assemble(P)` is infeasible, `S` is priced by
+/// direct lookups.
+///
+/// Prefix vectors are keyed by pool position. Phase 1 keeps at most one
+/// per position; the first extension past `m` structures (a Phase-2
+/// round) drops all of them, and every later round keeps only its
+/// incumbent's.
+pub struct SetPricer<'p> {
+    eval: &'p CostEvaluator<'p>,
+    base: &'p Configuration,
+    structures: &'p [PhysicalStructure],
+    sizing: &'p dyn SizingInfo,
+    options: &'p TuningOptions,
+    base_bytes: u64,
+    /// Aligned variants synthesized while assembling evaluated sets.
+    lazy_variants: AtomicUsize,
+    /// `u64` words per structure row of `touches`.
+    words: usize,
+    /// Row `s`, bit `q`: structure `s` can change statement `q`'s cost.
+    touches: Vec<u64>,
+    /// Live prefix vectors, by prefix.
+    prefixes: RwLock<BTreeMap<Vec<usize>, Arc<PrefixCosts>>>,
+}
+
+impl<'p> SetPricer<'p> {
+    /// A pricer over the pool `structures` on top of `base`.
+    /// `lazy_variants` seeds the aligned-variant tally (non-zero when
+    /// resuming an interrupted enumeration).
+    pub fn new(
+        eval: &'p CostEvaluator<'p>,
+        base: &'p Configuration,
+        structures: &'p [PhysicalStructure],
+        sizing: &'p dyn SizingInfo,
+        options: &'p TuningOptions,
+        lazy_variants: usize,
+    ) -> Self {
+        let statements = eval.items().len();
+        let words = statements.div_ceil(64);
+        let mut touches = vec![0u64; words * structures.len()];
+        for (row, s) in touches.chunks_mut(words.max(1)).zip(structures) {
+            for q in (0..statements).filter(|&q| eval.is_relevant(q, s)) {
+                if let Some(w) = row.get_mut(q / 64) {
+                    *w |= 1 << (q % 64);
+                }
+            }
+        }
+        Self {
+            eval,
+            base,
+            structures,
+            sizing,
+            options,
+            base_bytes: base.total_bytes(sizing),
+            lazy_variants: AtomicUsize::new(lazy_variants),
+            words,
+            touches,
+            prefixes: RwLock::new(BTreeMap::new()),
+        }
     }
 
-    let base_bytes = base.total_bytes(sizing);
-    let (lazy_seed, snapshot) = match resume {
-        Some(r) => (r.lazy_variants, Some(r.snapshot)),
-        None => (0, None),
-    };
-    let lazy_variants = AtomicUsize::new(lazy_seed);
+    /// Aligned variants synthesized so far (the seed included).
+    pub fn lazy_variants(&self) -> usize {
+        // dta-lint: allow(R6): monotonic telemetry counter; callers read
+        // it only after greedy has joined every worker.
+        self.lazy_variants.load(Ordering::Relaxed)
+    }
 
-    let assemble = |set: &[&PhysicalStructure]| -> Option<Configuration> {
-        let mut cfg = base.clone();
-        for s in set {
-            cfg.add((*s).clone());
+    /// The configuration a set of pool positions stands for: base plus
+    /// the set, aligned when required, or `None` when it is infeasible
+    /// (two clusterings or partitionings on a table, or over the storage
+    /// bound). Counts its aligned variants into [`Self::lazy_variants`].
+    pub fn assemble(&self, set: &[&usize]) -> Option<Configuration> {
+        self.build(set, true)
+    }
+
+    fn build(&self, set: &[&usize], tally: bool) -> Option<Configuration> {
+        let mut cfg = self.base.clone();
+        for &&p in set {
+            cfg.add(self.structures.get(p).expect("greedy positions index the pool").clone());
         }
-        if options.alignment.required() {
+        if self.options.alignment.required() {
             let (aligned, n) = align_configuration(&cfg);
-            // dta-lint: allow(R6): monotonic telemetry counter; read only
-            // after greedy_mk has joined every worker.
-            lazy_variants.fetch_add(n, Ordering::Relaxed);
+            if tally {
+                // dta-lint: allow(R6): monotonic telemetry counter; read
+                // only after greedy_mk has joined every worker.
+                self.lazy_variants.fetch_add(n, Ordering::Relaxed);
+            }
             cfg = aligned;
         }
         // structural feasibility: at most one clustering/partitioning per
@@ -268,28 +344,135 @@ pub fn enumerate_observed(
                 return None;
             }
         }
-        if let Some(bound) = options.storage_bytes {
-            let added = cfg.total_bytes(sizing).saturating_sub(base_bytes);
+        if let Some(bound) = self.options.storage_bytes {
+            let added = cfg.total_bytes(self.sizing).saturating_sub(self.base_bytes);
             if added > bound {
                 return None;
             }
         }
         Some(cfg)
+    }
+
+    /// Whether pool structure `s` can change statement `q`'s cost.
+    fn touches(&self, s: usize, q: usize) -> bool {
+        self.touches.get(s * self.words + q / 64).is_some_and(|w| w & (1 << (q % 64)) != 0)
+    }
+
+    /// The vector of prefix `key`, created on first use. A Phase-2
+    /// round's first extension (`extension`) releases every other vector:
+    /// Greedy never evaluates an earlier prefix again.
+    fn prefix(&self, key: &[usize], extension: bool) -> Arc<PrefixCosts> {
+        if let Some(p) = self.prefixes.read().get(key) {
+            return Arc::clone(p);
+        }
+        let mut prefixes = self.prefixes.write();
+        if let Some(p) = prefixes.get(key) {
+            return Arc::clone(p);
+        }
+        if extension {
+            prefixes.clear();
+        }
+        let p: Arc<PrefixCosts> =
+            Arc::new((0..self.eval.items().len()).map(|_| OnceLock::new()).collect());
+        prefixes.insert(key.to_vec(), Arc::clone(&p));
+        p
+    }
+
+    /// Weighted workload cost of `assemble(set)`, bit-identical to
+    /// `workload_cost(assemble(set))`; `None` when the set is infeasible
+    /// or a lookup fails.
+    pub fn cost(&self, set: &[&usize]) -> Option<f64> {
+        let cfg = self.assemble(set)?;
+        let extension = set.len() > self.options.greedy_m;
+        let split = if extension { set.len() - 1 } else { set.len().min(1) };
+        let (prefix, added) = set.split_at(split);
+        let key: Vec<usize> = prefix.iter().map(|&&p| p).collect();
+        let costs = self.prefix(&key, extension);
+        // `assemble(P)` for filling entries: the set's own configuration
+        // for a singleton, else built once per evaluation on its first
+        // unfilled entry (`Some(None)`: the prefix is infeasible)
+        let mut built: Option<Option<Configuration>> = None;
+        let mut total = 0.0;
+        for (q, item) in self.eval.items().iter().enumerate() {
+            let entry = costs.get(q).expect("prefix vectors hold one entry per statement");
+            let cost = if added.iter().any(|&&s| self.touches(s, q)) {
+                self.eval.item_cost(q, &cfg).ok()
+            } else if let Some(cost) = entry.get() {
+                *cost
+            } else {
+                let pcfg = if added.is_empty() {
+                    Some(&cfg)
+                } else {
+                    built.get_or_insert_with(|| self.build(prefix, false)).as_ref()
+                };
+                match pcfg {
+                    Some(pcfg) => *entry.get_or_init(|| self.eval.item_cost(q, pcfg).ok()),
+                    // an infeasible prefix: price the statement directly
+                    None => self.eval.item_cost(q, &cfg).ok(),
+                }
+            }?;
+            let next = total + item.weight * cost;
+            invariants::check_monotonic_sum(total, next, "delta cost");
+            total = next;
+        }
+        Some(total)
+    }
+}
+
+/// Run enumeration.
+///
+/// Greedy evaluations fan out over `options.parallel_workers` threads
+/// through the shared evaluator and are priced by delta evaluation (see
+/// [`SetPricer`]); results are identical at any worker count (see
+/// [`crate::greedy`]). Each evaluation charges one unit of `control`'s
+/// budget; on exhaustion the run returns best-so-far plus an
+/// [`EnumerationResume`] cursor, and a later call passing that cursor
+/// (with the same pool and a warmed cache) continues to the
+/// byte-identical uninterrupted answer.
+#[allow(clippy::too_many_arguments)]
+pub fn enumerate(
+    eval: &CostEvaluator<'_>,
+    base: &Configuration,
+    pool: &[Candidate],
+    sizing: &dyn SizingInfo,
+    options: &TuningOptions,
+    control: &SessionControl,
+    resume: Option<EnumerationResume>,
+) -> EnumerationRun {
+    enumerate_observed(eval, base, pool, sizing, options, control, resume, &NOOP)
+}
+
+/// [`enumerate`] with an attached [`SessionObserver`]: the inner
+/// Greedy(m, k) run reports its two phases as spans. Instrumentation
+/// only — the search and its outcome are byte-identical to [`enumerate`].
+#[allow(clippy::too_many_arguments)]
+pub fn enumerate_observed(
+    eval: &CostEvaluator<'_>,
+    base: &Configuration,
+    pool: &[Candidate],
+    sizing: &dyn SizingInfo,
+    options: &TuningOptions,
+    control: &SessionControl,
+    resume: Option<EnumerationResume>,
+    obs: &dyn SessionObserver,
+) -> EnumerationRun {
+    let structures = pool_structures(pool, options);
+    let (lazy_seed, snapshot) = match resume {
+        Some(r) => (r.lazy_variants, Some(r.snapshot)),
+        None => (0, None),
     };
+    let pricer = SetPricer::new(eval, base, &structures, sizing, options, lazy_seed);
 
     let base_cost = crate::control::isolated(control, || eval.workload_cost(base))
         .and_then(|r| r.ok())
         .unwrap_or(f64::INFINITY);
-    let eval_fn = |set: &[&PhysicalStructure]| -> Option<f64> {
-        let cfg = assemble(set)?;
-        eval.workload_cost(&cfg).ok()
-    };
-    let k = structures.len();
+    let positions: Vec<usize> = (0..structures.len()).collect();
+    let eval_fn = |set: &[&usize]| pricer.cost(set);
     let run = greedy_mk_observed(
-        &structures,
+        &positions,
         base_cost,
         options.greedy_m,
-        k,
+        structures.len(),
         options.parallel_workers,
         &eval_fn,
         control,
@@ -300,11 +483,9 @@ pub fn enumerate_observed(
     // snapshot the tally at the cut BEFORE assembling the best-so-far
     // configuration below: the final assembly's rewrites must not leak
     // into the resume cursor, or a resumed run would double-count them
-    // dta-lint: allow(R6): all workers joined inside the greedy engine;
-    // this read races with nothing.
-    let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
-    let final_refs: Vec<&PhysicalStructure> = run.outcome.chosen.iter().collect();
-    let configuration = assemble(&final_refs).unwrap_or_else(|| base.clone());
+    let lazy_at_cut = pricer.lazy_variants();
+    let final_refs: Vec<&usize> = run.outcome.chosen.iter().collect();
+    let configuration = pricer.assemble(&final_refs).unwrap_or_else(|| base.clone());
     EnumerationRun {
         result: EnumerationResult {
             configuration,

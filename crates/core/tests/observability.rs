@@ -16,7 +16,7 @@ use dta_core::{
 };
 use dta_server::{FaultPolicy, Server, TuningTarget};
 use dta_sql::parse_statement;
-use dta_workload::{Workload, WorkloadItem};
+use dta_workload::{psoft, Workload, WorkloadItem};
 
 fn make_server() -> Server {
     let mut server = Server::new("prod");
@@ -178,6 +178,21 @@ fn counters_are_byte_identical_across_runs_and_worker_counts() {
     }
     for c in &json_counters[1..] {
         assert_eq!(&json_counters[0], c, "counter JSON varies: {json_counters:#?}");
+    }
+
+    // a multi-table workload with UPDATE/INSERT/DELETE, whose enumeration
+    // fills prefix cost vectors concurrently
+    let mut digests = Vec::new();
+    for workers in [1, 2, 4] {
+        let b = psoft::build(0.05, 3);
+        let target = TuningTarget::Single(&b.server);
+        let obs = RecordingObserver::new();
+        let options = TuningOptions { compress: true, ..options(workers) };
+        let result = tune_with_observer(&target, &b.workload, &options, &obs).expect("tunes");
+        digests.push(result.observer.expect("summary").deterministic_digest());
+    }
+    for d in &digests[1..] {
+        assert_eq!(&digests[0], d, "psoft digest varies across worker counts: {digests:#?}");
     }
 }
 
