@@ -136,7 +136,7 @@ fn bench(c: &mut Criterion) {
     let run = |control: &SessionControl| {
         // cold cache each run so unlimited and budgeted do the same work
         let eval = CostEvaluator::new(&target, items);
-        enumerate(&eval, &base, &pool.candidates, &server, &options, control, None).result
+        enumerate(&eval, &base, &pool.candidates, &server, &options, control, None, &NOOP).result
     };
 
     // the two controls must be byte-identical in everything but timing

@@ -1,5 +1,5 @@
 //! Observer overhead on the enumeration hot path: the same Greedy(m,k)
-//! search driven through `enumerate_observed` with the zero-cost
+//! search driven through `enumerate` with the zero-cost
 //! `NoopObserver` versus a live `RecordingObserver`.
 //!
 //! The noop observer is a unit struct whose trait methods are empty
@@ -15,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dta::advisor::candidates::select_candidates;
 use dta::advisor::colgroups::interesting_column_groups;
 use dta::advisor::cost::CostEvaluator;
-use dta::advisor::enumeration::enumerate_observed;
+use dta::advisor::enumeration::enumerate;
 use dta::advisor::merging::merge_candidates;
 use dta::advisor::{RecordingObserver, SessionControl, SessionObserver, TuningOptions};
 use dta::prelude::*;
@@ -136,8 +136,7 @@ fn bench(c: &mut Criterion) {
         obs.attach_counters(control.counters());
         let eval =
             CostEvaluator::with_counters(&target, items, std::sync::Arc::clone(control.counters()));
-        enumerate_observed(&eval, &base, &pool.candidates, &server, &options, &control, None, obs)
-            .result
+        enumerate(&eval, &base, &pool.candidates, &server, &options, &control, None, obs).result
     };
 
     // the observers must be byte-identical in everything but timing

@@ -183,6 +183,7 @@ fn bench(c: &mut Criterion) {
             &opts,
             &SessionControl::unlimited(),
             None,
+            &NOOP,
         )
         .result;
         println!(
@@ -215,6 +216,7 @@ fn bench(c: &mut Criterion) {
                     &opts,
                     &SessionControl::unlimited(),
                     None,
+                    &NOOP,
                 ))
             })
         });

@@ -10,6 +10,7 @@ use crate::colgroups::ColumnGroups;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
 use crate::greedy::greedy_mk;
+use crate::obs::{Counter, NOOP};
 use crate::options::TuningOptions;
 use dta_catalog::Value;
 use dta_optimizer::query::{bind, BoundSelect, BoundStatement, SargOp};
@@ -441,6 +442,7 @@ pub const SELECTION_BLOCK: usize = 8;
 /// evaluations, all deterministic — is charged against `control`'s
 /// budget serially. Interruption therefore only happens between blocks,
 /// and the same budget cuts at the same item regardless of thread count.
+/// A cancel that lands inside a block discards the block uncharged.
 ///
 /// A worker that panics on an item is isolated: the panic is caught, the
 /// item degrades to an empty selection (as if it generated no
@@ -524,6 +526,11 @@ pub fn select_candidates_resumable(
                 })
                 .collect()
         };
+        if control.is_cancelled() {
+            // a cancel may have cut items mid-search: drop the block
+            // uncharged, so a resumed session redoes it whole
+            return SelectionRun { selections: done, interrupted: Some(StopReason::Cancelled) };
+        }
         // serial coordination point: charge the block's (deterministic)
         // work — one unit per item plus its greedy evaluations
         let units: u64 = block.iter().map(|s| 1 + s.evaluations as u64).sum();
@@ -615,12 +622,15 @@ fn select_item(
         }
         eval.item_cost(i, &cfg).ok()
     };
-    // each item's greedy search runs serially (workers = 1); the
-    // session-level fan-out is across the block's items. The budget is
-    // charged at block boundaries, so mid-item the only stop is a cancel.
-    let stop = || control.is_cancelled();
-    let outcome =
-        greedy_mk(&generated, base_cost, options.greedy_m, options.greedy_k, 1, &eval_fn, &stop);
+    // each item's greedy search runs serially (workers = 1) and
+    // unobserved; the session-level fan-out is across the block's items.
+    // The block is charged at its boundary, so the search runs on a child
+    // control whose only link to the session is the cancel flag; its
+    // panic rescues are forwarded to the session's tally.
+    let child = control.unlimited_child();
+    let (m, k) = (options.greedy_m, options.greedy_k);
+    let outcome = greedy_mk(&generated, base_cost, m, k, 1, &eval_fn, &child, None, &NOOP).outcome;
+    control.counters().add(Counter::PanicRescues, child.worker_restarts() as u64);
     sel.evaluations = outcome.evaluations;
     if !outcome.chosen.is_empty() {
         sel.benefit =

@@ -1,6 +1,7 @@
 //! Session checkpoints: everything an interrupted run must persist so
-//! that [`crate::tune_resume`] can continue it to the byte-identical
-//! answer an uninterrupted run would have produced (DESIGN.md §9).
+//! that [`crate::tune_session`] (as [`crate::Start::Resume`]) can
+//! continue it to the byte-identical answer an uninterrupted run would
+//! have produced (DESIGN.md §9).
 //!
 //! A checkpoint is emitted whenever a session is cut short — the work
 //! budget ran out ([`crate::Completion::BudgetExhausted`]) or the

@@ -223,6 +223,15 @@ impl SessionControl {
         })
     }
 
+    /// An unlimited control that shares this control's cancel flag but
+    /// keeps its own ledger and counters. Candidate selection runs each
+    /// statement's Greedy(m, k) on one: the session charges selection
+    /// per block at serial points, so per-evaluation grants must not
+    /// touch the session ledger, yet a cancel must still reach them.
+    pub(crate) fn unlimited_child(&self) -> Self {
+        SessionControl { cancel: Arc::clone(&self.cancel), ..SessionControl::unlimited() }
+    }
+
     /// The session's shared counter set — the single source of truth
     /// for deterministic telemetry ([`crate::obs::Counter`]).
     pub fn counters(&self) -> &Arc<CounterSet> {
@@ -258,7 +267,8 @@ impl SessionControl {
 
     /// Return `units` to the ledger (serial coordination points only).
     /// The supervisor grants each tenant a full quantum up front and
-    /// refunds whatever the slice did not spend, so the fleet ledger
+    /// refunds whatever the slice did not spend, and a cancelled Greedy
+    /// batch refunds the positions it never evaluated, so the ledger
     /// tracks real work instead of pessimistic reservations.
     pub fn refund(&self, units: u64) {
         let mut cur = self.consumed.load(Ordering::SeqCst);
@@ -348,25 +358,19 @@ impl Default for SessionControl {
 pub(crate) const MAX_PANIC_RETRIES: usize = 64;
 
 /// Run one evaluation under panic isolation: each panic is caught,
-/// reported through `note_restart`, and the evaluation re-issued, up to
-/// [`MAX_PANIC_RETRIES`] times. `None` means the evaluation never came
-/// back clean and the caller should degrade gracefully instead of
+/// counted on `control` (`PanicRescues`), and the evaluation re-issued,
+/// up to [`MAX_PANIC_RETRIES`] times. `None` means the evaluation never
+/// came back clean and the caller should degrade gracefully instead of
 /// tearing the session down.
-pub(crate) fn isolated_with<R>(note_restart: &dyn Fn(), f: impl Fn() -> R) -> Option<R> {
+pub(crate) fn isolated<R>(control: &SessionControl, f: impl Fn() -> R) -> Option<R> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     for _ in 0..=MAX_PANIC_RETRIES {
         if let Ok(r) = catch_unwind(AssertUnwindSafe(&f)) {
             return Some(r);
         }
-        note_restart();
+        control.note_worker_restart();
     }
     None
-}
-
-/// [`isolated_with`] reporting restarts straight into the session's
-/// panic-isolation telemetry.
-pub(crate) fn isolated<R>(control: &SessionControl, f: impl Fn() -> R) -> Option<R> {
-    isolated_with(&|| control.note_worker_restart(), f)
 }
 
 #[cfg(test)]

@@ -14,13 +14,17 @@
 //! ([`SetPricer`]): only the statements the newly added structures can
 //! touch are looked up again; the rest reuse the costs of the set's
 //! already-priced prefix, bit for bit.
+//!
+//! [`enumerate`] is the stage's one entry point: a fresh session and a
+//! resumed one (passing its checkpoint's [`EnumerationResume`]) take the
+//! same path, under whatever observer the session runs with.
 
 use crate::candidates::Candidate;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
-use crate::greedy::{greedy_mk_observed, GreedySnapshot};
+use crate::greedy::{greedy_mk, GreedySnapshot};
 use crate::invariants;
-use crate::obs::{SessionObserver, NOOP};
+use crate::obs::SessionObserver;
 use crate::options::{AlignmentMode, TuningOptions};
 use dta_physical::{Configuration, PhysicalStructure, RangePartitioning, SizingInfo};
 use parking_lot::RwLock;
@@ -425,28 +429,14 @@ impl<'p> SetPricer<'p> {
 /// through the shared evaluator and are priced by delta evaluation (see
 /// [`SetPricer`]); results are identical at any worker count (see
 /// [`crate::greedy`]). Each evaluation charges one unit of `control`'s
-/// budget; on exhaustion the run returns best-so-far plus an
-/// [`EnumerationResume`] cursor, and a later call passing that cursor
+/// budget; on exhaustion or cancellation the run returns best-so-far plus
+/// an [`EnumerationResume`] cursor, and a later call passing that cursor
 /// (with the same pool and a warmed cache) continues to the
-/// byte-identical uninterrupted answer.
+/// byte-identical uninterrupted answer. `obs` receives the inner
+/// Greedy(m, k) run's two phases as spans (pass [`crate::obs::NOOP`] for
+/// none); the search does not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate(
-    eval: &CostEvaluator<'_>,
-    base: &Configuration,
-    pool: &[Candidate],
-    sizing: &dyn SizingInfo,
-    options: &TuningOptions,
-    control: &SessionControl,
-    resume: Option<EnumerationResume>,
-) -> EnumerationRun {
-    enumerate_observed(eval, base, pool, sizing, options, control, resume, &NOOP)
-}
-
-/// [`enumerate`] with an attached [`SessionObserver`]: the inner
-/// Greedy(m, k) run reports its two phases as spans. Instrumentation
-/// only — the search and its outcome are byte-identical to [`enumerate`].
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_observed(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
     pool: &[Candidate],
@@ -468,7 +458,7 @@ pub fn enumerate_observed(
         .unwrap_or(f64::INFINITY);
     let positions: Vec<usize> = (0..structures.len()).collect();
     let eval_fn = |set: &[&usize]| pricer.cost(set);
-    let run = greedy_mk_observed(
+    let run = greedy_mk(
         &positions,
         base_cost,
         options.greedy_m,

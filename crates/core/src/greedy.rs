@@ -17,6 +17,11 @@
 //! cost ties exactly as a serial left-to-right scan would. Parallel and
 //! serial runs therefore return bit-identical outcomes.
 //!
+//! The one implementation serves both stages: enumeration runs it on
+//! the session's [`SessionControl`] with the session observer, and
+//! candidate selection runs it once per statement, unobserved, on a
+//! child control that shares only the session's cancel flag.
+//!
 //! Two robustness layers sit on top (anytime tuning):
 //!
 //! * **Panic isolation** — every evaluation runs under `catch_unwind`
@@ -27,17 +32,19 @@
 //!   cost the clean schedule would have seen — the recommendation is
 //!   byte-identical with and without the mid-run rescue. A permanently
 //!   poisonous evaluation exhausts the bound and is skipped as
-//!   infeasible instead of killing the session.
-//! * **Deterministic budgets** — [`greedy_mk_resumable`] charges the
-//!   session's [`SessionControl`] one unit per evaluation, granted in
-//!   canonical-prefix batches at serial coordination points. Exhaustion
-//!   returns the best-so-far outcome plus a [`GreedySnapshot`] cursor
-//!   from which a later call continues to the byte-identical final
-//!   answer.
+//!   infeasible instead of killing the session. Every rescue is counted
+//!   on the control (`PanicRescues`).
+//! * **Deterministic budgets** — [`greedy_mk`] charges the control one
+//!   unit per evaluation, granted in canonical-prefix batches at serial
+//!   coordination points. Exhaustion returns the best-so-far outcome
+//!   plus a [`GreedySnapshot`] cursor from which a later call continues
+//!   to the byte-identical final answer. A cancel keeps the evaluated
+//!   prefix of the batch it cut and refunds the rest of the grant, so a
+//!   cancelled run resumes exactly like a budget-exhausted one.
 
-use crate::control::{SessionControl, StopReason};
+use crate::control::{isolated, SessionControl, StopReason};
 use crate::det;
-use crate::obs::{SessionObserver, Span, SpanName, NOOP};
+use crate::obs::{SessionObserver, Span, SpanName};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -47,9 +54,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `Sync` because evaluations fan out across worker threads.
 pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 
-/// Polled between evaluations for cancellation.
-pub type StopFn<'e> = dyn Fn() -> bool + Sync + 'e;
-
 /// Result of a Greedy(m, k) run.
 #[derive(Debug, Clone)]
 pub struct GreedyOutcome<S> {
@@ -57,24 +61,24 @@ pub struct GreedyOutcome<S> {
     pub chosen: Vec<S>,
     /// Cost of the chosen set (the empty set's cost if nothing helps).
     pub cost: f64,
-    /// Number of evaluations performed.
+    /// Number of evaluations performed (across all prior runs).
     pub evaluations: usize,
-    /// Parallel workers that panicked and had their slice re-run
-    /// serially (0 in a healthy run).
-    pub worker_restarts: usize,
 }
 
 /// Find the minimum of `f` over `0..n` by `(cost, position)`; returns the
-/// winner plus the number of evaluations performed.
+/// winner plus the number of positions evaluated.
 ///
-/// Positions where `f` returns `None` (infeasible) are skipped. `stop`
-/// is polled before each evaluation; on a stop, remaining positions are
-/// abandoned (each worker stops where it is). Position tie-breaking makes
-/// the reduction independent of thread count and interleaving: the result
-/// for a completed run is identical for any `workers`.
+/// Workers claim positions from one shared counter and finish every
+/// position they claim, polling `control`'s cancel flag before each
+/// claim; the evaluated positions are therefore always the prefix
+/// `0..count`, so a cancel leaves no hole that a resumed scan would have
+/// to find. Infeasible positions (`None`) are skipped. Position
+/// tie-breaking makes the reduction independent of thread count and
+/// interleaving: the result for a completed scan is identical for any
+/// `workers`.
 ///
 /// Every evaluation is individually isolated: each panic at a position
-/// is noted in `restarts` and the position retried, up to
+/// is counted on `control` and the position retried, up to
 /// [`crate::control::MAX_PANIC_RETRIES`] times. A *transient* panic
 /// (fault injection, a recovering server — once per call site) then
 /// yields the cost the clean schedule would have seen, so the reduction
@@ -85,62 +89,57 @@ pub struct GreedyOutcome<S> {
 fn par_min(
     n: usize,
     workers: usize,
-    stop: &StopFn<'_>,
-    restarts: &AtomicUsize,
+    control: &SessionControl,
     f: &(dyn Fn(usize) -> Option<f64> + Sync),
 ) -> (Option<(usize, f64)>, usize) {
-    let scan = |positions: &mut dyn Iterator<Item = usize>| -> (Option<(usize, f64)>, usize) {
+    let scan = |next: &AtomicUsize| -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        let mut count = 0usize;
-        for pos in positions {
-            if stop() {
+        while !control.is_cancelled() {
+            let pos = next.fetch_add(1, Ordering::SeqCst);
+            if pos >= n {
                 break;
             }
-            count += 1;
-            let outcome = crate::control::isolated_with(
-                &|| {
-                    restarts.fetch_add(1, Ordering::SeqCst);
-                },
-                || f(pos),
-            );
-            if let Some(Some(cost)) = outcome {
+            if let Some(Some(cost)) = isolated(control, || f(pos)) {
                 best = det::min_by_cost_position((pos, cost), best);
             }
         }
-        (best, count)
+        best
     };
+    let next = AtomicUsize::new(0);
     let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return scan(&mut (0..n));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| scan(&mut ((w..n).step_by(workers)))))
-                })
-            })
-            .collect();
-        let mut best: Option<(usize, f64)> = None;
-        let mut count = 0usize;
-        for (w, h) in handles.into_iter().enumerate() {
-            let (local, local_count) = match h.join() {
-                Ok(Ok(result)) => result,
-                // out-of-band: per-position guards make a worker-level
-                // panic (iterator machinery, thread spawn) vanishingly
-                // rare, but if it happens the slice is redone serially
-                _ => {
-                    restarts.fetch_add(1, Ordering::SeqCst);
-                    scan(&mut ((w..n).step_by(workers)))
+    let best = if workers <= 1 {
+        scan(&next)
+    } else {
+        let joined = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| catch_unwind(AssertUnwindSafe(|| scan(&next)))))
+                .collect();
+            let mut best: Option<(usize, f64)> = None;
+            let mut clean = true;
+            for h in handles {
+                match h.join() {
+                    Ok(Ok(Some(local))) => best = det::min_by_cost_position(local, best),
+                    Ok(Ok(None)) => {}
+                    Err(_) | Ok(Err(_)) => clean = false,
                 }
-            };
-            count += local_count;
-            if let Some(local) = local {
-                best = det::min_by_cost_position(local, best);
+            }
+            clean.then_some(best)
+        });
+        match joined {
+            Some(best) => best,
+            // out-of-band: per-position guards make a worker-level panic
+            // (iterator machinery, thread spawn) vanishingly rare, but a
+            // dead worker may have left a claimed position unevaluated,
+            // so the scan is redone serially (finished positions are
+            // cache hits)
+            None => {
+                control.note_worker_restart();
+                next.store(0, Ordering::SeqCst);
+                scan(&next)
             }
         }
-        (best, count)
-    })
+    };
+    (best, next.load(Ordering::SeqCst).min(n))
 }
 
 /// All index subsets of `0..n` with size 1..=m, size-ascending and
@@ -163,74 +162,6 @@ fn subsets_up_to(n: usize, m: usize) -> Vec<Vec<usize>> {
         extend(n, size, &mut Vec::new(), &mut out);
     }
     out
-}
-
-/// Run Greedy(m, k) over `candidates`, fanning evaluations out over
-/// `workers` threads (1 = fully serial, same result either way).
-///
-/// `base_cost` is the cost of the empty selection; a subset is only ever
-/// adopted if it strictly improves on the incumbent. `stop` is polled
-/// between evaluations for cancellation.
-pub fn greedy_mk<S: Clone + Sync>(
-    candidates: &[S],
-    base_cost: f64,
-    m: usize,
-    k: usize,
-    workers: usize,
-    eval: &EvalFn<'_, S>,
-    stop: &StopFn<'_>,
-) -> GreedyOutcome<S> {
-    let restarts = AtomicUsize::new(0);
-    let mut evaluations = 0usize;
-    let mut best_set: Vec<usize> = Vec::new();
-    let mut best_cost = base_cost;
-
-    // Phase 1: exhaustive over subsets of size 1..=m.
-    let subsets = subsets_up_to(candidates.len(), m);
-    let eval_subset = |pos: usize| -> Option<f64> {
-        let refs: Vec<&S> = subsets[pos].iter().map(|&i| &candidates[i]).collect();
-        eval(&refs)
-    };
-    let (winner, count) = par_min(subsets.len(), workers, stop, &restarts, &eval_subset);
-    evaluations += count;
-    if let Some((pos, cost)) = winner {
-        if det::improves(cost, best_cost) {
-            best_cost = cost;
-            best_set = subsets[pos].clone();
-        }
-    }
-
-    // Phase 2: greedy extension up to k, one winner per round.
-    while !stop() && best_set.len() < k.max(m) {
-        let remaining: Vec<usize> =
-            (0..candidates.len()).filter(|i| !best_set.contains(i)).collect();
-        if remaining.is_empty() {
-            break;
-        }
-        let incumbent = &best_set;
-        let eval_extension = |pos: usize| -> Option<f64> {
-            let mut set = incumbent.clone();
-            set.push(remaining[pos]);
-            let refs: Vec<&S> = set.iter().map(|&j| &candidates[j]).collect();
-            eval(&refs)
-        };
-        let (winner, count) = par_min(remaining.len(), workers, stop, &restarts, &eval_extension);
-        evaluations += count;
-        match winner {
-            Some((pos, cost)) if det::improves(cost, best_cost) => {
-                best_set.push(remaining[pos]);
-                best_cost = cost;
-            }
-            _ => break, // no further improvement
-        }
-    }
-
-    GreedyOutcome {
-        chosen: best_set.iter().map(|&i| candidates[i].clone()).collect(),
-        cost: best_cost,
-        evaluations,
-        worker_restarts: restarts.load(Ordering::SeqCst),
-    }
 }
 
 /// Where an interrupted Greedy(m, k) run stopped, in canonical-order
@@ -295,38 +226,24 @@ pub struct GreedyRun<S> {
     pub interrupted: Option<(StopReason, GreedySnapshot)>,
 }
 
-/// Budget-aware, resumable Greedy(m, k).
+/// Run Greedy(m, k) over `candidates`, fanning evaluations out over
+/// `workers` threads (1 = fully serial, same result either way).
 ///
-/// Each evaluation costs one unit of `control`'s budget. Units are
-/// granted in canonical-prefix batches from this (serial) coordination
-/// point, so a given budget always cuts the scan at the same position
-/// regardless of worker count. On exhaustion or cancellation the run
-/// returns its best-so-far outcome — if the in-flight round's front
-/// already improves on the incumbent it is included, since it is a valid
-/// selection — plus a [`GreedySnapshot`]; passing that snapshot back as
-/// `resume` (with more budget) continues the scan exactly where it
-/// stopped and yields the byte-identical uninterrupted answer.
+/// `base_cost` is the cost of the empty selection; a subset is only ever
+/// adopted if it strictly improves on the incumbent. Each evaluation
+/// costs one unit of `control`'s budget. Units are granted in
+/// canonical-prefix batches from this (serial) coordination point, so a
+/// given budget always cuts the scan at the same position regardless of
+/// worker count. On exhaustion or cancellation the run returns its
+/// best-so-far outcome — if the in-flight round's front already improves
+/// on the incumbent it is included, since it is a valid selection — plus
+/// a [`GreedySnapshot`]; passing that snapshot back as `resume` (with
+/// more budget) continues the scan exactly where it stopped and yields
+/// the byte-identical uninterrupted answer. `obs` receives the two
+/// phases as `greedyPhase1` / `greedyPhase2` spans — instrumentation
+/// only, the search and its outcome do not depend on it.
 #[allow(clippy::too_many_arguments)] // the session's full budget context
-pub fn greedy_mk_resumable<S: Clone + Sync>(
-    candidates: &[S],
-    base_cost: f64,
-    m: usize,
-    k: usize,
-    workers: usize,
-    eval: &EvalFn<'_, S>,
-    control: &SessionControl,
-    resume: Option<GreedySnapshot>,
-) -> GreedyRun<S> {
-    greedy_mk_observed(candidates, base_cost, m, k, workers, eval, control, resume, &NOOP)
-}
-
-/// [`greedy_mk_resumable`] with an attached [`SessionObserver`]: the two
-/// phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so a
-/// recording observer can attribute wall time and evaluation deltas to
-/// each. The spans are pure instrumentation — the search, budget ledger,
-/// and returned outcome are byte-identical to the unobserved call.
-#[allow(clippy::too_many_arguments)] // the session's full budget context
-pub fn greedy_mk_observed<S: Clone + Sync>(
+pub fn greedy_mk<S: Clone + Sync>(
     candidates: &[S],
     base_cost: f64,
     m: usize,
@@ -337,13 +254,11 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
     resume: Option<GreedySnapshot>,
     obs: &dyn SessionObserver,
 ) -> GreedyRun<S> {
-    let restarts = AtomicUsize::new(0);
-    let cancel_stop = || control.is_cancelled();
     let mut snap = resume.unwrap_or_else(|| GreedySnapshot::fresh(base_cost));
 
     // Scan positions `next..n` of the current round in granted batches.
     // Returns the completed round's front, or `Err(reason)` leaving the
-    // cursor fields updated for the snapshot.
+    // cursor fields at the evaluated prefix for the snapshot.
     let run_round = |next: &mut usize,
                      round_best: &mut Option<(usize, f64)>,
                      n: usize,
@@ -351,23 +266,22 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
                      f: &(dyn Fn(usize) -> Option<f64> + Sync)|
      -> Result<(), StopReason> {
         while *next < n {
-            let remaining = n - *next;
-            let granted = control.grant(remaining as u64) as usize;
+            let granted = control.grant((n - *next) as u64) as usize;
             if granted == 0 {
-                return Err(control.stop().map_or(StopReason::BudgetExhausted, |r| r));
+                return Err(control.stop().unwrap_or(StopReason::BudgetExhausted));
             }
             let offset = *next;
-            let shifted = |p: usize| f(offset + p);
-            let (batch_best, _) = par_min(granted, workers, &cancel_stop, &restarts, &shifted);
-            // evaluations are accounted as the granted batch size — the
-            // deterministic figure — rather than the raced per-thread
-            // tally (they only differ under cancellation)
-            *evaluations += granted;
+            let (batch_best, done) = par_min(granted, workers, control, &|p| f(offset + p));
             if let Some((pos, cost)) = batch_best {
                 *round_best = det::min_by_cost_position((pos + offset, cost), *round_best);
             }
-            *next += granted;
-            if control.is_cancelled() {
+            *evaluations += done;
+            *next += done;
+            if done < granted {
+                // a cancel cut the batch: keep its evaluated prefix and
+                // return the unspent grant, so ledger, cursor and front
+                // continue exactly where an uninterrupted run stands
+                control.refund((granted - done) as u64);
                 return Err(StopReason::Cancelled);
             }
         }
@@ -491,9 +405,6 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
         }
     }
 
-    for _ in 0..restarts.load(Ordering::SeqCst) {
-        control.note_worker_restart();
-    }
     GreedyRun {
         outcome: GreedyOutcome {
             chosen: out_set
@@ -504,7 +415,6 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
                 .collect(),
             cost: out_cost,
             evaluations: snap.evaluations,
-            worker_restarts: restarts.load(Ordering::SeqCst),
         },
         interrupted: interrupted.map(|reason| (reason, snap)),
     }
@@ -513,9 +423,19 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NOOP;
 
-    fn no_stop() -> impl Fn() -> bool + Sync {
-        || false
+    /// An unbudgeted, unobserved run — the plain Greedy(m, k) answer.
+    fn unbudgeted<S: Clone + Sync>(
+        candidates: &[S],
+        base_cost: f64,
+        m: usize,
+        k: usize,
+        workers: usize,
+        eval: &EvalFn<'_, S>,
+    ) -> GreedyOutcome<S> {
+        let control = SessionControl::unlimited();
+        greedy_mk(candidates, base_cost, m, k, workers, eval, &control, None, &NOOP).outcome
     }
 
     #[test]
@@ -547,8 +467,8 @@ mod tests {
             })
         };
 
-        let g1 = greedy_mk(&candidates, 100.0, 1, 3, 1, &cost, &no_stop());
-        let g2 = greedy_mk(&candidates, 100.0, 2, 3, 1, &cost, &no_stop());
+        let g1 = unbudgeted(&candidates, 100.0, 1, 3, 1, &cost);
+        let g2 = unbudgeted(&candidates, 100.0, 2, 3, 1, &cost);
         assert!(g1.cost > g2.cost, "g1={} g2={}", g1.cost, g2.cost);
         assert_eq!(g2.cost, 10.0);
         let mut chosen = g2.chosen.clone();
@@ -561,7 +481,7 @@ mod tests {
         // additive benefits: every item shaves 10 off
         let candidates: Vec<usize> = (0..6).collect();
         let eval = |set: &[&usize]| Some(100.0 - 10.0 * set.len() as f64);
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &no_stop());
+        let g = unbudgeted(&candidates, 100.0, 2, 4, 1, &eval);
         assert_eq!(g.chosen.len(), 4);
         assert_eq!(g.cost, 60.0);
     }
@@ -576,7 +496,7 @@ mod tests {
                 Some(95.0)
             }
         };
-        let g = greedy_mk(&candidates, 100.0, 1, 5, 1, &eval, &no_stop());
+        let g = unbudgeted(&candidates, 100.0, 1, 5, 1, &eval);
         assert_eq!(g.chosen, vec!["x"]);
         assert_eq!(g.cost, 90.0);
     }
@@ -592,7 +512,7 @@ mod tests {
                 Some(50.0)
             }
         };
-        let g = greedy_mk(&candidates, 100.0, 2, 2, 1, &eval, &no_stop());
+        let g = unbudgeted(&candidates, 100.0, 2, 2, 1, &eval);
         assert_eq!(g.chosen, vec!["x"]);
     }
 
@@ -600,7 +520,7 @@ mod tests {
     fn empty_candidates() {
         let candidates: Vec<&str> = vec![];
         let eval = |_: &[&&str]| Some(1.0);
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &no_stop());
+        let g = unbudgeted(&candidates, 100.0, 2, 4, 1, &eval);
         assert!(g.chosen.is_empty());
         assert_eq!(g.cost, 100.0);
         assert_eq!(g.evaluations, 0);
@@ -608,19 +528,28 @@ mod tests {
 
     #[test]
     fn stop_cuts_search_short() {
+        // the fifth evaluation raises the cancel flag; the scan stops at
+        // its next poll and refunds the unevaluated rest of the grant
         let candidates: Vec<usize> = (0..100).collect();
-        let eval = |_: &[&usize]| Some(100.0);
+        let control = SessionControl::unlimited();
         let n = AtomicUsize::new(0);
-        let stop = || n.fetch_add(1, Ordering::Relaxed) + 1 > 5;
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &stop);
-        assert!(g.evaluations <= 6, "evaluations={}", g.evaluations);
+        let eval = |_: &[&usize]| {
+            if n.fetch_add(1, Ordering::SeqCst) + 1 >= 5 {
+                control.cancel_handle().cancel();
+            }
+            Some(100.0)
+        };
+        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &control, None, &NOOP);
+        assert!(run.outcome.evaluations <= 6, "evaluations={}", run.outcome.evaluations);
+        assert!(matches!(run.interrupted, Some((StopReason::Cancelled, _))));
+        assert_eq!(control.consumed() as usize, run.outcome.evaluations, "unspent grant refunded");
     }
 
     #[test]
     fn never_adopts_non_improving_set() {
         let candidates = ["a"];
         let eval = |_: &[&&str]| Some(100.0); // equal, not better
-        let g = greedy_mk(&candidates, 100.0, 1, 1, 1, &eval, &no_stop());
+        let g = unbudgeted(&candidates, 100.0, 1, 1, 1, &eval);
         assert!(g.chosen.is_empty());
     }
 
@@ -635,9 +564,9 @@ mod tests {
             let n = set.len();
             Some(1000.0 - (17 * s % 101) as f64 - 31.0 * n as f64)
         };
-        let serial = greedy_mk(&candidates, 1000.0, 2, 6, 1, &eval, &no_stop());
+        let serial = unbudgeted(&candidates, 1000.0, 2, 6, 1, &eval);
         for workers in [2, 4, 7] {
-            let parallel = greedy_mk(&candidates, 1000.0, 2, 6, workers, &eval, &no_stop());
+            let parallel = unbudgeted(&candidates, 1000.0, 2, 6, workers, &eval);
             assert_eq!(serial.chosen, parallel.chosen, "workers={workers}");
             assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits(), "workers={workers}");
             assert_eq!(serial.evaluations, parallel.evaluations, "workers={workers}");
@@ -664,16 +593,17 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(1000.0 - (13 * s % 97) as f64 - 20.0 * set.len() as f64)
         };
-        let clean = greedy_mk(&candidates, 1000.0, 2, 5, 1, &infeasible, &no_stop());
+        let clean = unbudgeted(&candidates, 1000.0, 2, 5, 1, &infeasible);
         for workers in [2, 4] {
             // silence the default panic hook for the deliberate panics
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let g = greedy_mk(&candidates, 1000.0, 2, 5, workers, &poisoned, &no_stop());
+            let control = SessionControl::unlimited();
+            let g = greedy_mk(&candidates, 1000.0, 2, 5, workers, &poisoned, &control, None, &NOOP);
             std::panic::set_hook(prev);
-            assert!(g.worker_restarts > 0, "workers={workers}: no restart recorded");
-            assert_eq!(clean.chosen, g.chosen, "workers={workers}");
-            assert_eq!(clean.cost.to_bits(), g.cost.to_bits(), "workers={workers}");
+            assert!(control.worker_restarts() > 0, "workers={workers}: no restart recorded");
+            assert_eq!(clean.chosen, g.outcome.chosen, "workers={workers}");
+            assert_eq!(clean.cost.to_bits(), g.outcome.cost.to_bits(), "workers={workers}");
         }
     }
 
@@ -684,13 +614,9 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
         };
-        let plain = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &no_stop());
         let control = SessionControl::unlimited();
-        let run = greedy_mk_resumable(&candidates, 500.0, 2, 5, 1, &eval, &control, None);
+        let run = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &control, None, &NOOP);
         assert!(run.interrupted.is_none());
-        assert_eq!(plain.chosen, run.outcome.chosen);
-        assert_eq!(plain.cost.to_bits(), run.outcome.cost.to_bits());
-        assert_eq!(plain.evaluations, run.outcome.evaluations);
         assert_eq!(control.consumed() as usize, run.outcome.evaluations);
     }
 
@@ -703,7 +629,7 @@ mod tests {
         };
         let full = {
             let control = SessionControl::unlimited();
-            greedy_mk_resumable(&candidates, 500.0, 2, 5, 3, &eval, &control, None)
+            greedy_mk(&candidates, 500.0, 2, 5, 3, &eval, &control, None, &NOOP)
         };
         assert!(full.interrupted.is_none());
         let total = full.outcome.evaluations as u64;
@@ -713,7 +639,7 @@ mod tests {
         // count than the uninterrupted run
         for cut in 0..total {
             let c1 = SessionControl::with_budget(cut);
-            let first = greedy_mk_resumable(&candidates, 500.0, 2, 5, 1, &eval, &c1, None);
+            let first = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &c1, None, &NOOP);
             let (reason, snap) = match first.interrupted {
                 Some(pair) => pair,
                 None => panic!("budget {cut} of {total} should interrupt"),
@@ -722,11 +648,52 @@ mod tests {
             assert_eq!(snap.evaluations as u64, cut, "exactly the budget is spent");
             let c2 =
                 SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
-            let second = greedy_mk_resumable(&candidates, 500.0, 2, 5, 4, &eval, &c2, Some(snap));
+            let second = greedy_mk(&candidates, 500.0, 2, 5, 4, &eval, &c2, Some(snap), &NOOP);
             assert!(second.interrupted.is_none(), "cut={cut}");
             assert_eq!(full.outcome.chosen, second.outcome.chosen, "cut={cut}");
             assert_eq!(full.outcome.cost.to_bits(), second.outcome.cost.to_bits(), "cut={cut}");
             assert_eq!(full.outcome.evaluations, second.outcome.evaluations, "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn cancel_then_resume_is_byte_identical() {
+        // cancel after every possible number of evaluations: the evaluated
+        // prefix is kept, the rest of the grant refunded, and the resumed
+        // run lands on the uninterrupted answer, evaluations and ledger
+        let candidates: Vec<usize> = (0..10).collect();
+        let cost = |set: &[&usize]| {
+            let s: usize = set.iter().map(|&&i| i).sum();
+            Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
+        };
+        let full_control = SessionControl::unlimited();
+        let full = greedy_mk(&candidates, 500.0, 2, 5, 1, &cost, &full_control, None, &NOOP);
+        let total = full.outcome.evaluations;
+        for cut in 1..total {
+            for workers in [1, 3] {
+                let c1 = SessionControl::unlimited();
+                let seen = AtomicUsize::new(0);
+                let eval = |set: &[&usize]| {
+                    if seen.fetch_add(1, Ordering::SeqCst) + 1 >= cut {
+                        c1.cancel_handle().cancel();
+                    }
+                    cost(set)
+                };
+                let first = greedy_mk(&candidates, 500.0, 2, 5, workers, &eval, &c1, None, &NOOP);
+                let Some((reason, snap)) = first.interrupted else {
+                    continue; // the cancel landed after the last evaluation
+                };
+                assert_eq!(reason, StopReason::Cancelled, "cut={cut}");
+                assert_eq!(c1.consumed() as usize, snap.evaluations, "cut={cut}: ledger");
+                let c2 = SessionControl::resumed(c1.consumed(), None).expect("valid resume");
+                let second = greedy_mk(&candidates, 500.0, 2, 5, 1, &cost, &c2, Some(snap), &NOOP);
+                let label = format!("cut={cut} workers={workers}");
+                assert!(second.interrupted.is_none(), "{label}");
+                assert_eq!(full.outcome.chosen, second.outcome.chosen, "{label}");
+                assert_eq!(full.outcome.cost.to_bits(), second.outcome.cost.to_bits(), "{label}");
+                assert_eq!(full.outcome.evaluations, second.outcome.evaluations, "{label}");
+                assert_eq!(full_control.consumed(), c2.consumed(), "{label}: ledger");
+            }
         }
     }
 
@@ -737,24 +704,21 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(300.0 - (7 * s % 31) as f64 - 5.0 * set.len() as f64)
         };
-        let full = {
-            let control = SessionControl::unlimited();
-            greedy_mk_resumable(&candidates, 300.0, 2, 4, 1, &eval, &control, None)
-        };
-        let total = full.outcome.evaluations as u64;
+        let full = unbudgeted(&candidates, 300.0, 2, 4, 1, &eval);
+        let total = full.evaluations as u64;
         let mut last_cost = f64::INFINITY;
         for cut in 0..=total {
             let control = SessionControl::with_budget(cut);
-            let run = greedy_mk_resumable(&candidates, 300.0, 2, 4, 1, &eval, &control, None);
+            let run = greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &control, None, &NOOP);
             assert!(run.outcome.cost <= 300.0, "cut={cut}: anytime outcome worse than base");
             // same budget twice ⇒ byte-identical
             let control2 = SessionControl::with_budget(cut);
-            let rerun = greedy_mk_resumable(&candidates, 300.0, 2, 4, 2, &eval, &control2, None);
+            let rerun = greedy_mk(&candidates, 300.0, 2, 4, 2, &eval, &control2, None, &NOOP);
             assert_eq!(run.outcome.chosen, rerun.outcome.chosen, "cut={cut}");
             assert_eq!(run.outcome.cost.to_bits(), rerun.outcome.cost.to_bits(), "cut={cut}");
             last_cost = last_cost.min(run.outcome.cost);
         }
-        assert_eq!(last_cost.to_bits(), full.outcome.cost.to_bits());
+        assert_eq!(last_cost.to_bits(), full.cost.to_bits());
     }
 
     #[test]
@@ -763,7 +727,7 @@ mod tests {
         let eval = |set: &[&usize]| Some(100.0 - set.len() as f64);
         let control = SessionControl::unlimited();
         control.cancel_handle().cancel();
-        let run = greedy_mk_resumable(&candidates, 100.0, 2, 4, 1, &eval, &control, None);
+        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &control, None, &NOOP);
         match run.interrupted {
             Some((StopReason::Cancelled, _)) => {}
             other => panic!("expected cancellation, got {other:?}"),

@@ -37,13 +37,12 @@ pub use checkpoint::{SessionCheckpoint, StatsProgress};
 pub use control::{CancelHandle, Completion, ControlError, SessionControl, Stage, StopReason};
 pub use obs::{
     Counter, CounterSet, CounterTotals, NoopObserver, ObserverSummary, RecordingObserver,
-    SessionObserver, ShardSnapshot, SpanName,
+    SessionObserver, ShardSnapshot, SpanName, NOOP,
 };
 pub use options::{AlignmentMode, FeatureSet, TuningOptions};
 pub use report::{EvaluationReport, StatementReport, TuningResult};
 pub use session::{
-    evaluate_configuration, tune, tune_resume, tune_resume_with_control, tune_with_control,
-    tune_with_observer, workload_cost, TuneError,
+    evaluate_configuration, tune, tune_session, tune_with_observer, workload_cost, Start, TuneError,
 };
 pub use supervisor::{
     ChaosHook, FinishedSession, FleetManifest, FleetReport, SessionSupervisor, SliceContext,

@@ -58,7 +58,7 @@ pub struct TuningResult {
     /// faults (their what-if calls kept failing; the session continued
     /// without them instead of aborting).
     pub degraded_statements: Vec<String>,
-    /// Session checkpoint for [`crate::tune_resume`], present whenever
+    /// Session checkpoint for [`crate::Start::Resume`], present whenever
     /// the session was cut short (`Completion::BudgetExhausted` or
     /// `Completion::Cancelled` — e.g. a supervisor-preempted tenant).
     pub checkpoint: Option<Box<SessionCheckpoint>>,

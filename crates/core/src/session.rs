@@ -2,13 +2,17 @@
 //! robustness layer (DESIGN.md §9) — deterministic work budgets,
 //! cooperative cancellation, fault retry/degradation, and
 //! checkpoint/resume.
+//!
+//! [`tune_session`] is the one pipeline; a fresh session and a resumed
+//! one differ only in their [`Start`]. [`tune`] and
+//! [`tune_with_observer`] are one-line conveniences over it.
 
 use crate::candidates::{assemble_pool, select_candidates_resumable, ItemSelection};
 use crate::checkpoint::{SessionCheckpoint, StatsProgress};
 use crate::colgroups::interesting_column_groups;
 use crate::control::{Completion, ControlError, SessionControl, Stage, StopReason};
 use crate::cost::CostEvaluator;
-use crate::enumeration::{enumerate_observed, EnumerationResult, EnumerationResume};
+use crate::enumeration::{enumerate, EnumerationResult, EnumerationResume};
 use crate::merging::merge_candidates;
 use crate::obs::{Counter, SessionObserver, Span, SpanName, NOOP};
 use crate::options::TuningOptions;
@@ -17,6 +21,7 @@ use dta_physical::Configuration;
 use dta_server::{ServerError, TuningTarget};
 use dta_stats::StatKey;
 use dta_workload::{compress, Workload};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -91,9 +96,9 @@ pub fn workload_cost(
 /// When `options.work_budget_units` is set, the session stops once the
 /// budget is consumed and returns its best-so-far recommendation plus a
 /// [`SessionCheckpoint`] (anytime tuning); pass that checkpoint to
-/// [`tune_resume`] to continue. The budget is deterministic: the same
-/// budget cuts the search at the same point on every run and at any
-/// `parallel_workers` setting.
+/// [`tune_session`] as [`Start::Resume`] to continue. The budget is
+/// deterministic: the same budget cuts the search at the same point on
+/// every run and at any `parallel_workers` setting.
 pub fn tune(
     target: &TuningTarget<'_>,
     workload: &Workload,
@@ -118,107 +123,37 @@ pub fn tune_with_observer(
         Some(units) => SessionControl::with_budget(units),
         None => SessionControl::unlimited(),
     };
-    tune_session(target, workload, options, &control, obs)
+    tune_session(target, Start::Fresh(workload, options), &control, obs)
 }
 
-/// Run a tuning session under an externally owned [`SessionControl`] —
-/// the caller keeps the [`crate::CancelHandle`] and can cancel the
-/// session from another thread. The control's own budget is used;
-/// `options.work_budget_units` is only consulted by [`tune`].
-pub fn tune_with_control(
-    target: &TuningTarget<'_>,
-    workload: &Workload,
-    options: &TuningOptions,
-    control: &SessionControl,
-) -> Result<TuningResult, TuneError> {
-    tune_session(target, workload, options, control, &NOOP)
+/// Where a [`tune_session`] starts.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// A fresh session: §5.1 workload compression (when
+    /// `options.compress`), then the whole pipeline.
+    Fresh(&'a Workload, &'a TuningOptions),
+    /// Continue an interrupted (budget-exhausted or cancelled) session
+    /// from its checkpoint, under the checkpoint's options. The resumed
+    /// session prices through the checkpoint's warmed cache and replays
+    /// no completed work, and — against the same tuning target — its
+    /// final recommendation *and report* are byte-identical to what an
+    /// uninterrupted run with a sufficient budget would have produced.
+    Resume(&'a SessionCheckpoint),
 }
 
-/// Shared front door: §5.1 workload compression, then the pipeline.
-fn tune_session(
-    target: &TuningTarget<'_>,
-    workload: &Workload,
-    options: &TuningOptions,
-    control: &SessionControl,
-    obs: &dyn SessionObserver,
-) -> Result<TuningResult, TuneError> {
-    let (tuned_workload, _partitions) = if options.compress {
-        let out = compress(workload, options.compression);
-        (out.compressed, out.partitions)
-    } else {
-        (workload.clone(), workload.len())
-    };
-    run_session(
-        target,
-        options,
-        control,
-        &tuned_workload,
-        workload.len(),
-        workload.total_events(),
-        None,
-        obs,
-    )
-}
-
-/// Continue an interrupted (budget-exhausted or cancelled) session from
-/// its checkpoint, with `extra_budget` fresh work units (`None` = run to
-/// convergence).
+/// Run a tuning session — fresh or resumed — under an externally owned
+/// [`SessionControl`] and observer. Every session takes this path.
 ///
-/// The resumed session prices through the checkpoint's warmed cache and
-/// replays no completed work, and — against the same tuning target — its
-/// final recommendation *and report* are byte-identical to what an
-/// uninterrupted run with a sufficient budget would have produced.
-pub fn tune_resume(
-    target: &TuningTarget<'_>,
-    checkpoint: &SessionCheckpoint,
-    extra_budget: Option<u64>,
-) -> Result<TuningResult, TuneError> {
-    checkpoint.validate().map_err(TuneError::InvalidCheckpoint)?;
-    let control = SessionControl::resumed(checkpoint.consumed_units, extra_budget)?;
-    run_session(
-        target,
-        &checkpoint.options,
-        &control,
-        &checkpoint.workload,
-        checkpoint.total_statements,
-        checkpoint.total_events,
-        Some(checkpoint),
-        &NOOP,
-    )
-}
-
-/// [`tune_resume`] under an externally owned [`SessionControl`] — the
-/// supervisor's resume path. The caller keeps the
-/// [`crate::CancelHandle`] (preemption) and builds the control's ledger
-/// itself ([`SessionControl::resumed`]); its consumed units must match
-/// the checkpoint's, so the budget continues the checkpoint's ledger
-/// rather than starting a fresh one.
-pub fn tune_resume_with_control(
-    target: &TuningTarget<'_>,
-    checkpoint: &SessionCheckpoint,
-    control: &SessionControl,
-) -> Result<TuningResult, TuneError> {
-    checkpoint.validate().map_err(TuneError::InvalidCheckpoint)?;
-    if control.consumed() != checkpoint.consumed_units {
-        return Err(TuneError::InvalidCheckpoint(format!(
-            "control ledger at {} units does not continue the checkpoint's {}",
-            control.consumed(),
-            checkpoint.consumed_units
-        )));
-    }
-    run_session(
-        target,
-        &checkpoint.options,
-        control,
-        &checkpoint.workload,
-        checkpoint.total_statements,
-        checkpoint.total_events,
-        Some(checkpoint),
-        &NOOP,
-    )
-}
-
-/// The pipeline proper, shared by fresh and resumed sessions.
+/// The caller keeps the control's [`crate::CancelHandle`] and can
+/// cancel the session from another thread (the supervisor's
+/// preemption). The control's own budget applies;
+/// `options.work_budget_units` is only consulted by [`tune`]. A resume
+/// must continue the checkpoint's ledger: build the control with
+/// [`SessionControl::resumed`]`(checkpoint.consumed_units, extra)`, where
+/// `extra` is the fresh budget (`None` = run to convergence). A
+/// checkpoint that fails [`SessionCheckpoint::validate`], or a control
+/// whose consumed units differ from the checkpoint's, is rejected with
+/// [`TuneError::InvalidCheckpoint`].
 ///
 /// Budget discipline: pre-costing charges one unit per statement,
 /// candidate selection charges per block (see
@@ -229,17 +164,39 @@ pub fn tune_resume_with_control(
 /// count. On exhaustion, the checkpoint is captured *before* the
 /// epilogue prices the best-so-far report, keeping report-only work out
 /// of the resumed session's ledger.
-#[allow(clippy::too_many_arguments)]
-fn run_session(
+pub fn tune_session(
     target: &TuningTarget<'_>,
-    options: &TuningOptions,
+    start: Start<'_>,
     control: &SessionControl,
-    tuned_workload: &Workload,
-    total_statements: usize,
-    total_events: f64,
-    resume: Option<&SessionCheckpoint>,
     obs: &dyn SessionObserver,
 ) -> Result<TuningResult, TuneError> {
+    let (options, tuned_workload, total_statements, total_events, resume) = match start {
+        Start::Fresh(workload, options) => {
+            let tuned = if options.compress {
+                compress(workload, options.compression).compressed
+            } else {
+                workload.clone()
+            };
+            (options, Cow::Owned(tuned), workload.len(), workload.total_events(), None)
+        }
+        Start::Resume(cp) => {
+            cp.validate().map_err(TuneError::InvalidCheckpoint)?;
+            if control.consumed() != cp.consumed_units {
+                return Err(TuneError::InvalidCheckpoint(format!(
+                    "control ledger at {} units does not continue the checkpoint's {}",
+                    control.consumed(),
+                    cp.consumed_units
+                )));
+            }
+            (
+                &cp.options,
+                Cow::Borrowed(&cp.workload),
+                cp.total_statements,
+                cp.total_events,
+                Some(cp),
+            )
+        }
+    };
     obs.attach_counters(control.counters());
     let whatif_server = target.whatif_server();
     let overhead_start = whatif_server.overhead_units();
@@ -282,10 +239,14 @@ fn run_session(
     let mut enum_result: Option<EnumerationResult> = None;
     let mut enum_cursor: Option<EnumerationResume> = None;
 
+    // A stage a resumed checkpoint already completed is replayed from
+    // the checkpoint without a span, so a resume's trace shows only the
+    // work it did.
     let cut: Option<(StopReason, Stage)> = 'pipeline: {
         // preliminary base costs (pre-statistics) for column-group
         // weighting — one budget unit per statement
-        let pre_span = Span::enter(obs, SpanName::PreCosting);
+        let pre_span =
+            (pre_costs.len() < items.len()).then(|| Span::enter(obs, SpanName::PreCosting));
         while pre_costs.len() < items.len() {
             if let Some(reason) = control.stop() {
                 break 'pipeline Some((reason, Stage::PreCosting));
@@ -375,7 +336,8 @@ fn run_session(
 
         // §2.2 candidate selection (per query, block-budgeted, possibly
         // parallel within each block)
-        let sel_span = Span::enter(obs, SpanName::CandidateSelection);
+        let sel_span = (resume_selections.len() < items.len())
+            .then(|| Span::enter(obs, SpanName::CandidateSelection));
         let run =
             select_candidates_resumable(&eval, &base, &groups, options, control, resume_selections);
         let interrupted = run.interrupted;
@@ -400,7 +362,7 @@ fn run_session(
         // §2.2/§4 enumeration — shares the selection phase's cache and
         // charges one budget unit per configuration evaluation
         let enum_span = Span::enter(obs, SpanName::Enumeration);
-        let erun = enumerate_observed(
+        let erun = enumerate(
             &eval,
             &base,
             &pool.candidates,
@@ -426,7 +388,7 @@ fn run_session(
     let checkpoint = match cut {
         Some((_, stage)) => Some(Box::new(SessionCheckpoint {
             options: options.clone(),
-            workload: tuned_workload.clone(),
+            workload: (*tuned_workload).clone(),
             total_statements,
             total_events,
             stage,

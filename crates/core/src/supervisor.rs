@@ -45,10 +45,10 @@ use parking_lot::Mutex;
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::control::{CancelHandle, Completion, ControlError, SessionControl, StopReason};
-use crate::obs::{Counter, CounterTotals};
+use crate::obs::{Counter, CounterTotals, NOOP};
 use crate::options::TuningOptions;
 use crate::report::TuningResult;
-use crate::session::{tune_resume_with_control, tune_with_control, TuneError};
+use crate::session::{tune_session, Start, TuneError};
 
 /// Scheduling and containment knobs for a [`SessionSupervisor`].
 #[derive(Debug, Clone)]
@@ -766,19 +766,15 @@ impl<'srv> SessionSupervisor<'srv> {
                 });
             }
             let target = TuningTarget::Single(tenant.spec.server);
-            match &tenant.checkpoint {
-                // dta-lint: allow(R12): the checkpoint's taint grounds in
-                // enumeration's post-join counter read (R6-justified there);
-                // all workers are joined before it, so checkpoint contents
-                // are byte-deterministic — the resume tests prove it.
-                Some(cp) => tune_resume_with_control(&target, cp, &control),
-                None => tune_with_control(
-                    &target,
-                    &tenant.spec.workload,
-                    &tenant.spec.options,
-                    &control,
-                ),
-            }
+            let start = match &tenant.checkpoint {
+                Some(cp) => Start::Resume(cp),
+                None => Start::Fresh(&tenant.spec.workload, &tenant.spec.options),
+            };
+            // dta-lint: allow(R12): the checkpoint's taint grounds in
+            // enumeration's post-join counter read (R6-justified there);
+            // all workers are joined before it, so checkpoint contents
+            // are byte-deterministic — the resume tests prove it.
+            tune_session(&target, start, &control, &NOOP)
         }));
         self.registry.running.lock().remove(&tenant.spec.id);
         let used = control.consumed().saturating_sub(before);

@@ -13,7 +13,7 @@ use dta_core::cost::CostEvaluator;
 use dta_core::enumeration::{pool_structures, SetPricer};
 use dta_core::greedy::greedy_mk;
 use dta_core::merging::merge_candidates;
-use dta_core::{tune, AlignmentMode, SessionControl, TuningOptions, TuningResult};
+use dta_core::{tune, AlignmentMode, SessionControl, TuningOptions, TuningResult, NOOP};
 use dta_physical::{Configuration, Index, PhysicalStructure, RangePartitioning};
 use dta_server::{Server, TuningTarget};
 use dta_stats::StatKey;
@@ -93,8 +93,11 @@ fn assert_delta_exact(
         structures.len(),
         options.parallel_workers,
         &record,
-        &|| false,
-    );
+        &SessionControl::unlimited(),
+        None,
+        &NOOP,
+    )
+    .outcome;
     let visited = visited.into_inner();
     assert_eq!(visited.len(), outcome.evaluations, "{name}: one record per evaluation");
     assert!(visited.iter().any(|(set, _)| set.len() > options.greedy_m), "{name}: no Phase 2");

@@ -6,13 +6,17 @@
 //!   from them) are byte-identical across reruns and across
 //!   `parallel_workers` counts; wall times are quarantined outside the
 //!   digest;
+//! * **observed resume** — a resumed session can be traced too, without
+//!   changing its report, and its trace holds only the stages it ran;
 //! * **per-statement telemetry** — `evaluate_configuration` surfaces the
 //!   per-statement what-if call and retry history, so a `FaultPolicy`
 //!   run's report shows which statements rode out faults.
 
 use dta_catalog::{Column, ColumnType, Database, Table, Value};
+use dta_core::greedy::GreedyCursor;
 use dta_core::{
-    evaluate_configuration, tune, tune_with_observer, Counter, RecordingObserver, TuningOptions,
+    evaluate_configuration, tune, tune_session, tune_with_observer, Counter, RecordingObserver,
+    SessionControl, SessionObserver, Stage, Start, TuningOptions, NOOP,
 };
 use dta_server::{FaultPolicy, Server, TuningTarget};
 use dta_sql::parse_statement;
@@ -194,6 +198,49 @@ fn counters_are_byte_identical_across_runs_and_worker_counts() {
     for d in &digests[1..] {
         assert_eq!(&digests[0], d, "psoft digest varies across worker counts: {digests:#?}");
     }
+}
+
+#[test]
+fn observed_resume_is_byte_inert_and_traces_only_what_it_ran() {
+    let workload = read_workload();
+    let total = {
+        let server = make_server();
+        let control = SessionControl::unlimited();
+        let start = Start::Fresh(&workload, &options(1));
+        tune_session(&TuningTarget::Single(&server), start, &control, &NOOP).expect("tunes");
+        control.consumed()
+    };
+
+    // one unit short of convergence: the budget cuts the last Phase-2
+    // round; each resume continues on the server that took its partial
+    // session, once unobserved and once under a recording observer
+    let resume_under = |obs: &dyn SessionObserver| {
+        let server = make_server();
+        let target = TuningTarget::Single(&server);
+        let budgeted = TuningOptions { work_budget_units: Some(total - 1), ..options(1) };
+        let partial = tune(&target, &workload, &budgeted).expect("budgeted run");
+        let cp = partial.checkpoint.expect("the budget cuts the session");
+        assert_eq!(cp.stage, Stage::Enumeration);
+        let cursor = cp.enumeration.as_ref().map(|e| e.snapshot.cursor.clone());
+        assert!(matches!(cursor, Some(GreedyCursor::Phase2 { .. })), "{cursor:?}");
+        let control = SessionControl::resumed(cp.consumed_units, None).expect("valid ledger");
+        tune_session(&target, Start::Resume(&cp), &control, obs).expect("resumes")
+    };
+    let plain = resume_under(&NOOP);
+    let traced = resume_under(&RecordingObserver::new());
+    assert!(plain.observer.is_none());
+    assert_eq!(plain.to_string(), traced.to_string(), "observing the resume changed its report");
+
+    // pre-costing, statistics, selection and Phase 1 were done before the
+    // cut; the resume replays them from the checkpoint without a span
+    let summary = traced.observer.expect("recording observer yields a summary");
+    let paths: Vec<&str> = summary.spans.iter().map(|s| s.path.as_str()).collect();
+    assert_eq!(
+        paths,
+        ["columnGroups", "enumeration", "enumeration/greedyPhase2", "epilogue", "merging"]
+    );
+    let phase2 = summary.spans.iter().find(|s| s.path == "enumeration/greedyPhase2");
+    assert!(phase2.is_some_and(|s| s.work_units > 0), "the resumed round did no work");
 }
 
 #[test]

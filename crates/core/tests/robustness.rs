@@ -16,13 +16,15 @@
 //!   degrade the affected statements instead of aborting; injected
 //!   worker panics are isolated and do not change the recommendation.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Once};
 
 use dta_catalog::{Column, ColumnType, Database, Table, Value};
 use dta_core::{
-    tune, tune_resume, tune_with_control, Completion, SessionControl, SessionSupervisor,
-    SliceContext, Stage, StopReason, SupervisorPolicy, TenantSpec, TenantStatus, TuningOptions,
-    TuningResult,
+    tune, tune_session, Completion, SessionCheckpoint, SessionControl, SessionSupervisor,
+    SliceContext, Stage, Start, StopReason, SupervisorPolicy, TenantSpec, TenantStatus,
+    TuningOptions, TuningResult, NOOP,
 };
 use dta_server::{FaultPolicy, Server, TuningTarget};
 use dta_sql::parse_statement;
@@ -137,13 +139,19 @@ fn assert_anytime(result: &TuningResult, server: &Server, label: &str) {
     assert!(result.expected_improvement() >= 0.0, "{label}");
 }
 
+/// Continue `cp` with `extra` fresh work units (`None` = to convergence).
+fn resume(target: &TuningTarget<'_>, cp: &SessionCheckpoint, extra: Option<u64>) -> TuningResult {
+    let control = SessionControl::resumed(cp.consumed_units, extra).unwrap();
+    tune_session(target, Start::Resume(cp), &control, &NOOP).unwrap()
+}
+
 /// Total work units an uninterrupted session consumes — the yardstick
 /// for picking budgets that cut mid-stage.
 fn total_units(workload: &Workload) -> u64 {
     let server = make_server();
     let target = TuningTarget::Single(&server);
     let control = SessionControl::unlimited();
-    tune_with_control(&target, workload, &options(1), &control).unwrap();
+    tune_session(&target, Start::Fresh(workload, &options(1)), &control, &NOOP).unwrap();
     control.consumed()
 }
 
@@ -241,7 +249,7 @@ fn resume_is_byte_identical_to_uninterrupted_run() {
             .checkpoint
             .as_ref()
             .unwrap_or_else(|| panic!("budget {budget} of {total} should exhaust"));
-        let resumed = tune_resume(&target, cp, None).unwrap();
+        let resumed = resume(&target, cp, None);
 
         assert_eq!(resumed.completion, Completion::Complete, "budget {budget}");
         // byte-identical recommendation…
@@ -276,7 +284,7 @@ fn resume_in_small_increments_converges_to_the_same_answer() {
     while let Some(cp) = result.checkpoint.take() {
         steps += 1;
         assert!(steps < 200, "resume chain failed to converge");
-        result = tune_resume(&target, &cp, Some(30)).unwrap();
+        result = resume(&target, &cp, Some(30));
     }
     assert!(steps > 2, "fixture should take several increments, took {steps}");
     assert_eq!(result.completion, Completion::Complete);
@@ -296,7 +304,8 @@ fn precancelled_session_returns_the_base_configuration() {
     let target = TuningTarget::Single(&server);
     let control = SessionControl::unlimited();
     control.cancel_handle().cancel();
-    let result = tune_with_control(&target, &workload, &options(1), &control).unwrap();
+    let result =
+        tune_session(&target, Start::Fresh(&workload, &options(1)), &control, &NOOP).unwrap();
     assert_eq!(result.completion, Completion::Cancelled { stage: Stage::PreCosting });
     assert_anytime(&result, &server, "pre-cancelled");
     assert_eq!(result.recommendation.to_string(), server.raw_configuration().to_string());
@@ -319,7 +328,8 @@ fn midrun_cancellation_is_graceful() {
         std::thread::sleep(std::time::Duration::from_millis(30));
         handle.cancel();
     });
-    let result = tune_with_control(&target, &workload, &options(2), &control).unwrap();
+    let result =
+        tune_session(&target, Start::Fresh(&workload, &options(2)), &control, &NOOP).unwrap();
     canceller.join().unwrap();
     // wherever the cancel landed (possibly after convergence on a fast
     // machine), the anytime invariant holds and nothing panicked
@@ -418,6 +428,105 @@ fn injected_worker_panics_are_isolated_and_do_not_change_the_answer() {
     assert_eq!(result.base_cost.to_bits(), clean.base_cost.to_bits());
 }
 
+thread_local! {
+    /// Injected what-if panics raised on this thread so far.
+    static INJECTED_PANICS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Install, once per test binary, a panic hook that counts injected
+/// what-if panics per thread and keeps them quiet; every other panic
+/// goes to the previous hook. The count is per thread, so tests that
+/// inject panics concurrently in this binary never see each other's.
+fn count_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let message = info.payload().downcast_ref::<String>().map_or("", String::as_str);
+            if message.starts_with("injected what-if panic") {
+                INJECTED_PANICS.with(|n| n.set(n.get() + 1));
+            } else {
+                previous(info);
+            }
+        }));
+    });
+}
+
+#[test]
+fn injected_panic_count_equals_worker_restarts() {
+    // one worker: every stage runs on this thread, so the thread-local
+    // count sees every panic the server injects into this session —
+    // including those inside candidate selection's per-statement searches
+    count_injected_panics();
+    let workload = read_workload();
+    let server = make_server();
+    server.set_fault_policy(Some(FaultPolicy {
+        seed: 11,
+        whatif_panic_rate: 0.3,
+        ..FaultPolicy::default()
+    }));
+    let target = TuningTarget::Single(&server);
+    let before = INJECTED_PANICS.with(Cell::get);
+    let result = tune(&target, &workload, &options(1)).unwrap();
+    let injected = INJECTED_PANICS.with(Cell::get) - before;
+    assert!(injected > 0, "schedule injected no panics");
+    assert_eq!(result.worker_restarts, injected, "panic rescues undercounted");
+    assert!(result.to_string().contains(&format!("worker restarts (panic isolation): {injected}")));
+}
+
+/// Cancel a 1-worker session after a given number of server what-if
+/// calls, from a watcher thread, wherever in the pipeline that lands.
+fn cancel_after_whatif_calls(server: &Server, workload: &Workload, calls: u64) -> TuningResult {
+    let target = TuningTarget::Single(server);
+    let control = SessionControl::unlimited();
+    let handle = control.cancel_handle();
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !finished.load(Ordering::SeqCst) && server.whatif_invocations() < calls {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+            handle.cancel();
+        });
+        let result = tune_session(&target, Start::Fresh(workload, &options(1)), &control, &NOOP);
+        finished.store(true, Ordering::SeqCst);
+        result.unwrap()
+    })
+}
+
+#[test]
+fn cancel_at_any_cut_then_resume_is_byte_identical() {
+    let workload = read_workload();
+    let ref_server = make_server();
+    let uninterrupted = tune(&TuningTarget::Single(&ref_server), &workload, &options(1)).unwrap();
+    let total_calls = ref_server.whatif_invocations();
+
+    // 19 cut points spread over the session; a cancel keeps all finished
+    // work and drops the rest uncharged, so each resume must reproduce
+    // the uninterrupted report byte for byte
+    let mut cancelled = 0;
+    for i in 1..20 {
+        let cut = total_calls * i / 20;
+        let server = make_server();
+        let partial = cancel_after_whatif_calls(&server, &workload, cut);
+        let label = format!("cancel after {cut} of {total_calls} what-if calls");
+        let Some(cp) = partial.checkpoint.as_deref() else {
+            // the cancel landed after the search converged
+            assert_eq!(partial.completion, Completion::Complete, "{label}");
+            continue;
+        };
+        assert!(matches!(partial.completion, Completion::Cancelled { .. }), "{label}");
+        assert_anytime(&partial, &server, &label);
+        cancelled += 1;
+        let resumed = resume(&TuningTarget::Single(&server), cp, None);
+        assert_eq!(resumed.completion, Completion::Complete, "{label}");
+        assert_eq!(resumed.to_string(), uninterrupted.to_string(), "{label}: report diverged");
+        assert_eq!(resumed.evaluations, uninterrupted.evaluations, "{label}");
+        assert_eq!(resumed.whatif_calls, uninterrupted.whatif_calls, "{label}");
+    }
+    assert!(cancelled >= 10, "only {cancelled} of 19 cuts interrupted the session");
+}
+
 /// CI's `fault-matrix` job sweeps this test over a grid of seeds and
 /// failure rates via `DTA_FAULT_SEEDS` / `DTA_FAULT_RATES` (comma-
 /// separated); the in-repo defaults keep a plain `cargo test` fast.
@@ -489,7 +598,9 @@ fn solo_reference(salt: usize) -> (TuningResult, u64) {
     let server = make_server();
     let target = TuningTarget::Single(&server);
     let control = SessionControl::unlimited();
-    let result = tune_with_control(&target, &tenant_workload(salt), &options(1), &control).unwrap();
+    let result =
+        tune_session(&target, Start::Fresh(&tenant_workload(salt), &options(1)), &control, &NOOP)
+            .unwrap();
     assert_eq!(result.completion, Completion::Complete);
     (result, control.consumed())
 }

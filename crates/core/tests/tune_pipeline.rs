@@ -421,6 +421,7 @@ fn shared_cache_reduces_whatif_calls() {
         &options,
         &SessionControl::unlimited(),
         None,
+        &dta_core::NOOP,
     )
     .result;
 

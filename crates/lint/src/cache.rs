@@ -28,7 +28,10 @@ use crate::callgraph::{
 use crate::pragma::Pragma;
 use crate::rules::{Finding, Severity, TokenAnalysis, RULES};
 
-const VERSION: &str = "dta-lint-cache v1";
+/// Bumped whenever the analyzer's output for unchanged source changes
+/// (v2: capitalized bare pattern names are paths, not bindings), so a
+/// cache written by an older analyzer is discarded, not trusted.
+const VERSION: &str = "dta-lint-cache v2";
 
 /// FNV-1a 64-bit content hash.
 pub fn fnv64(data: &[u8]) -> u64 {
@@ -509,6 +512,7 @@ mod tests {
     #[test]
     fn corrupt_cache_loads_empty() {
         assert!(parse_cache("not a cache\n").is_none());
-        assert!(parse_cache("dta-lint-cache v1\nX junk\n").is_none());
+        assert!(parse_cache(&format!("{VERSION}\nX junk\n")).is_none());
+        assert!(parse_cache("dta-lint-cache v1\n").is_none());
     }
 }

@@ -688,14 +688,17 @@ impl<'a> Parser<'a> {
             }
             if t.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&s) && s != "_" {
                 // a binding unless it is a path segment (`A::B`), a
-                // call-ish pattern head (`Some(` / `Point {`), or a
-                // struct-pattern field name (`x: sub`)
+                // call-ish pattern head (`Some(` / `Point {`), a
+                // struct-pattern field name (`x: sub`), or a capitalized
+                // bare name — a unit variant or constant (`None`, `MAX`),
+                // which Rust resolves as a path, never as a new binding
                 let next = self.text_at(1);
                 let next2 = self.text_at(2);
                 let is_path_seg = next == ":" && next2 == ":";
                 let is_ctor = next == "(" || next == "{" || next == "!";
                 let is_field_name = next == ":" && next2 != ":";
-                if !is_path_seg && !is_ctor && !is_field_name {
+                let is_const = s.starts_with(|c: char| c.is_ascii_uppercase());
+                if !is_path_seg && !is_ctor && !is_field_name && !is_const {
                     pat.names.push(t.text.clone());
                 }
             }

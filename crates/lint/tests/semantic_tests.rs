@@ -45,19 +45,23 @@ fn r10_consistent_order_is_clean() {
 
 #[test]
 fn r11_cross_function_panic_anchored_at_surface() {
-    let result = lint_sources(&[("crates/core/src/fixture_r11.rs", R11)]);
-    // the R11 error sits on `tune` (line 4), not on the unwrap three
-    // frames down; the unwrap itself still gets its R5 warning
-    assert_eq!(
-        at(&result.findings),
-        vec![("R11", Severity::Error, 4, 8), ("R5", Severity::Warning, 13, 7),],
-        "{result:#?}"
-    );
-    let msg = &result.findings[0].message;
-    assert!(msg.contains("via tune"), "witness chain missing: {msg}");
-    assert!(msg.contains("-> middle"), "witness chain missing: {msg}");
-    assert!(msg.contains("in `deep`"), "leaf attribution missing: {msg}");
-    assert!(msg.contains("fixture_r11.rs:13:7"), "source position missing: {msg}");
+    // the fixture's entry under each session front door's name
+    for entry in ["tune", "tune_session"] {
+        let src = R11.replace("pub fn tune(", &format!("pub fn {entry}("));
+        let result = lint_sources(&[("crates/core/src/fixture_r11.rs", &src)]);
+        // the R11 error sits on the entry (line 4), not on the unwrap
+        // three frames down; the unwrap itself still gets its R5 warning
+        assert_eq!(
+            at(&result.findings),
+            vec![("R11", Severity::Error, 4, 8), ("R5", Severity::Warning, 13, 7),],
+            "{entry}: {result:#?}"
+        );
+        let msg = &result.findings[0].message;
+        assert!(msg.contains(&format!("via {entry} ")), "witness chain missing: {msg}");
+        assert!(msg.contains("-> middle"), "witness chain missing: {msg}");
+        assert!(msg.contains("in `deep`"), "leaf attribution missing: {msg}");
+        assert!(msg.contains("fixture_r11.rs:13:7"), "source position missing: {msg}");
+    }
 }
 
 #[test]
@@ -107,6 +111,30 @@ fn r12_deterministic_input_is_clean() {
 }",
     );
     let result = lint_sources(&[("crates/stats/src/fixture_r12.rs", &src)]);
+    assert!(result.findings.iter().all(|f| f.rule != "R12"), "{result:#?}");
+}
+
+#[test]
+fn r12_unit_variant_arm_is_not_a_binding() {
+    // `None =>` names the unit variant; were it a binding it would carry
+    // the scrutinee's wall-clock taint to the later `None` expression
+    let src = "use std::time::Instant;
+
+fn sampled() -> Option<f64> {
+    let t = Instant::now();
+    Some(t.elapsed().as_secs_f64())
+}
+
+pub fn pick(best: f64) -> bool {
+    let seen = match sampled() {
+        None => false,
+        Some(_) => true,
+    };
+    let (cost, floor): (f64, Option<f64>) = (1.0, None);
+    seen && det::improves(cost, best) && floor.is_none()
+}
+";
+    let result = lint_sources(&[("crates/stats/src/fixture_r12.rs", src)]);
     assert!(result.findings.iter().all(|f| f.rule != "R12"), "{result:#?}");
 }
 

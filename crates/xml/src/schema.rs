@@ -750,7 +750,7 @@ fn read_enumeration(node: &XmlNode) -> Result<EnumerationResume, SchemaError> {
 
 /// Serialize a session checkpoint (interrupted-session state, budget
 /// exhausted or cancelled) so a later process can continue the session
-/// via `tune_resume`.
+/// via `tune_session` with `Start::Resume`.
 pub fn checkpoint_to_xml(cp: &SessionCheckpoint) -> String {
     let mut w = XmlWriter::new();
     write_checkpoint_into(&mut w, cp);

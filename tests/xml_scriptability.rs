@@ -99,7 +99,9 @@ fn checkpoint_xml_roundtrip_resumes_byte_identically() {
     assert_eq!(xml::checkpoint_to_xml(&restored), cp_xml, "re-serialization drifted");
 
     // resume from the reloaded checkpoint; compare to an uninterrupted run
-    let resumed = tune_resume(&target, &restored, None).expect("resumed run succeeds");
+    let control = SessionControl::resumed(restored.consumed_units, None).expect("valid ledger");
+    let resumed = tune_session(&target, Start::Resume(&restored), &control, &NOOP)
+        .expect("resumed run succeeds");
     let uninterrupted =
         tune(&target, &workload, &TuningOptions { work_budget_units: None, ..options })
             .expect("uninterrupted run succeeds");
